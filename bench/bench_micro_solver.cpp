@@ -17,6 +17,10 @@
 // constant-factor optimizations).
 //
 // Usage: bench_micro_solver [--quick] [--out FILE] [--seed N]
+//
+// Every path is timed kRepeats times, interleaved, and each path reports
+// its median run: single runs swing by ±30% on shared hosts.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -33,6 +37,9 @@
 namespace {
 
 using namespace cspls;
+
+/// Timed runs per path; the median one is reported.
+constexpr std::uint64_t kRepeats = 5;
 
 struct Workload {
   std::string problem;
@@ -88,6 +95,15 @@ PathResult run_path(csp::Problem& problem, std::uint64_t budget,
   out.final_cost = result.cost;
   out.solution = result.solution;
   return out;
+}
+
+/// The run with the median wall time (the lower middle for even counts).
+PathResult median_run(std::vector<PathResult> runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const PathResult& a, const PathResult& b) {
+              return a.seconds < b.seconds;
+            });
+  return runs[(runs.size() - 1) / 2];
 }
 
 bool paths_match(const PathResult& a, const PathResult& b) {
@@ -168,16 +184,28 @@ int main(int argc, char** argv) {
       auto warm_simd = simd_problem->clone();
       (void)run_path(*warm_simd, warm_budget, seed ^ 0xFFFF);
     }
-    util::simd::set_force_scalar(true);
-    const PathResult batched = run_path(*batched_problem, budget, seed);
-    const PathResult scalar = run_path(scalar_problem, budget, seed);
-    util::simd::set_force_scalar(false);
-    const PathResult simd = run_path(*simd_problem, budget, seed);
+    // Every timed run walks from a fresh clone of the pristine problems.
+    std::vector<PathResult> batched_runs, scalar_runs, simd_runs;
+    for (std::uint64_t r = 0; r < kRepeats; ++r) {
+      util::simd::set_force_scalar(true);
+      batched_runs.push_back(
+          run_path(*batched_problem->clone(), budget, seed));
+      scalar_runs.push_back(run_path(*scalar_problem.clone(), budget, seed));
+      util::simd::set_force_scalar(false);
+      simd_runs.push_back(run_path(*simd_problem->clone(), budget, seed));
+    }
 
-    // The three paths must walk the identical trajectory: same iteration
-    // count, same evaluation count, same final configuration.
-    const bool agree =
-        paths_match(batched, scalar) && paths_match(batched, simd);
+    // The three paths must walk the identical trajectory, every time: same
+    // iteration count, same evaluation count, same final configuration.
+    bool agree = true;
+    for (std::uint64_t r = 0; r < kRepeats; ++r) {
+      agree = agree && paths_match(batched_runs[0], batched_runs[r]) &&
+              paths_match(batched_runs[0], scalar_runs[r]) &&
+              paths_match(batched_runs[0], simd_runs[r]);
+    }
+    const PathResult batched = median_run(batched_runs);
+    const PathResult scalar = median_run(scalar_runs);
+    const PathResult simd = median_run(simd_runs);
     if (!agree) {
       std::fprintf(stderr,
                    "ERROR: scalar/batched/simd paths diverged on %s\n",

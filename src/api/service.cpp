@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/stop_token.hpp"
-#include "problems/spec.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
@@ -737,8 +736,7 @@ JobHandle SolverService::submit(SolveRequest request, JobStream stream) {
   // Validate the instance and the pool configuration now so the caller
   // gets the diagnostic (with the valid problem names / the offending
   // knob) at the submission site, not from a failed job.
-  (void)problems::parse_spec(request.problem);
-  parallel::validate_options(request.to_pool_options());
+  Solver::validate(request);
 
   auto job = std::make_shared<detail::JobState>();
   job->request = std::move(request);
@@ -768,10 +766,7 @@ std::vector<JobHandle> SolverService::submit_batch(
   }
 
   // All-or-nothing validation before any member is enqueued.
-  for (const SolveRequest& request : requests) {
-    (void)problems::parse_spec(request.problem);
-    parallel::validate_options(request.to_pool_options());
-  }
+  for (const SolveRequest& request : requests) Solver::validate(request);
 
   std::vector<std::shared_ptr<detail::JobState>> jobs;
   jobs.reserve(requests.size());

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/stop_token.hpp"
@@ -83,13 +84,65 @@ void validate_retry(const RetryPolicy& retry) {
   }
 }
 
+void check_configuration(const csp::Problem& problem,
+                         std::span<const int> values,
+                         const std::string& what) {
+  if (!problem.is_configuration(values)) {
+    throw std::invalid_argument(
+        "SolveRequest: " + what + " is not a configuration of " +
+        problem.instance_description() + " (expected " +
+        std::to_string(problem.num_variables()) +
+        " values forming a permutation of the model's value set)");
+  }
+}
+
+/// Client-supplied configurations reach PermutationProblem::assign, which
+/// trusts them; a value outside the model's multiset would index past the
+/// kernels' tables, a duplicate would "solve" to a non-permutation.
+void check_configurations(const SolveRequest& request,
+                          const csp::Problem& problem) {
+  if (request.warm_start.has_value()) {
+    check_configuration(problem, *request.warm_start, "warm_start");
+  }
+  if (!request.resume_from.has_value()) return;
+  const parallel::PoolCheckpoint& checkpoint = *request.resume_from;
+  using Stage = parallel::PoolCheckpoint::WalkerStage;
+  for (std::size_t w = 0; w < checkpoint.walkers.size(); ++w) {
+    const auto& entry = checkpoint.walkers[w];
+    const std::string where = "resume_from walker " + std::to_string(w);
+    if (entry.stage == Stage::kRunning) {
+      check_configuration(problem, entry.checkpoint.values, where + " values");
+      check_configuration(problem, entry.checkpoint.best, where + " best");
+    } else if (entry.stage == Stage::kDone &&
+               !entry.result.solution.empty()) {
+      check_configuration(problem, entry.result.solution,
+                          where + " solution");
+    }
+  }
+  for (std::size_t s = 0; s < checkpoint.elite.size(); ++s) {
+    if (checkpoint.elite[s].has_entry) {
+      check_configuration(problem, checkpoint.elite[s].values,
+                          "resume_from elite slot " + std::to_string(s));
+    }
+  }
+}
+
 }  // namespace
+
+void Solver::validate(const SolveRequest& request) {
+  const problems::ProblemSpec spec = problems::parse_spec(request.problem);
+  parallel::validate_options(request.to_pool_options());
+  if (request.warm_start.has_value() || request.resume_from.has_value()) {
+    check_configurations(request, *problems::instantiate(spec));
+  }
+}
 
 SolveReport Solver::solve(const SolveRequest& request, core::StopToken token,
                           const SolveCallbacks& callbacks) {
   validate_retry(request.retry);
   const problems::ProblemSpec spec = problems::parse_spec(request.problem);
   const std::unique_ptr<csp::Problem> problem = problems::instantiate(spec);
+  check_configurations(request, *problem);
 
   if (request.deadline_ms != 0) {
     token = token.expiring_at(
@@ -127,6 +180,7 @@ std::vector<std::size_t> Solver::solve_fused(
     validate_retry(job.request.retry);
     specs.push_back(problems::parse_spec(job.request.problem));
     problems.push_back(problems::instantiate(specs.back()));
+    check_configurations(job.request, *problems.back());
 
     parallel::FusedJob member;
     member.prototype = problems.back().get();

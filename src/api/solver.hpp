@@ -102,6 +102,13 @@ class Solver {
   /// running.  Must be thread-safe.
   using FusedSolveSink = std::function<void(std::size_t, SolveReport)>;
 
+  /// The submission-site checks solve() repeats before running: the
+  /// problem spec, the pool options and every configuration the request
+  /// carries (warm_start; each resume_from checkpoint's current and best
+  /// values, finished walkers' solutions and elite slots — see
+  /// csp::Problem::is_configuration).  Throws std::invalid_argument.
+  static void validate(const SolveRequest& request);
+
   /// Batch entry point over parallel::FusedRun: every member is validated
   /// and instantiated up front (throwing std::invalid_argument before any
   /// work), then the whole batch executes on one resident thread team —

@@ -35,8 +35,10 @@ std::uint64_t scalar_best_swap_for(const Problem& problem, std::size_t x,
 
 }  // namespace detail
 
-void SwapScan::feed_lanes(std::size_t base_j, std::span<const Cost> cand,
-                          std::size_t skip, util::Xoshiro256& rng) noexcept {
+CSPLS_SIMD_CLONES void SwapScan::feed_lanes(std::size_t base_j,
+                                            std::span<const Cost> cand,
+                                            std::size_t skip,
+                                            util::Xoshiro256& rng) noexcept {
   namespace simd = util::simd;
   const std::size_t n = cand.size();
   std::size_t k = 0;
@@ -101,6 +103,10 @@ Cost PermutationProblem::assign(std::span<const int> values) {
   std::copy(values.begin(), values.end(), values_.begin());
   cost_ = on_rebind();
   return cost_;
+}
+
+bool PermutationProblem::is_configuration(std::span<const int> values) const {
+  return is_permutation_of(values, values_);
 }
 
 Cost PermutationProblem::cost_if_swap(std::size_t i, std::size_t j) const {

@@ -122,6 +122,13 @@ class Problem {
   /// code with the cost model; used to cross-validate `cost == 0`.
   [[nodiscard]] virtual bool verify(std::span<const int> values) const = 0;
 
+  /// True iff `values` is one of this model's configurations — the only
+  /// input assign() may be handed (kernels index their tables by value, so
+  /// anything else reads out of bounds).  The API boundary checks every
+  /// client-supplied configuration with it (warm starts, checkpoints).
+  [[nodiscard]] virtual bool is_configuration(
+      std::span<const int> values) const = 0;
+
   /// Solver tuning defaults for this model (mirrors the per-benchmark
   /// parameter choices shipped with the original library).
   [[nodiscard]] virtual TuningHints tuning() const noexcept {
@@ -155,6 +162,11 @@ class PermutationProblem : public Problem {
   Cost swap(std::size_t i, std::size_t j) override;
 
   Cost reset_perturbation(double fraction, util::Xoshiro256& rng) override;
+
+  /// A permutation of the canonical value multiset (checked against the
+  /// current configuration, which always is one).
+  [[nodiscard]] bool is_configuration(
+      std::span<const int> values) const override;
 
  protected:
   /// `canonical` is the value multiset the search permutes (e.g. 1..n²).

@@ -66,6 +66,10 @@ bool ScalarPathProblem::verify(std::span<const int> values) const {
   return inner_->verify(values);
 }
 
+bool ScalarPathProblem::is_configuration(std::span<const int> values) const {
+  return inner_->is_configuration(values);
+}
+
 TuningHints ScalarPathProblem::tuning() const noexcept {
   return inner_->tuning();
 }

@@ -35,6 +35,8 @@ class ScalarPathProblem final : public Problem {
   Cost swap(std::size_t i, std::size_t j) override;
   Cost reset_perturbation(double fraction, util::Xoshiro256& rng) override;
   [[nodiscard]] bool verify(std::span<const int> values) const override;
+  [[nodiscard]] bool is_configuration(
+      std::span<const int> values) const override;
   [[nodiscard]] TuningHints tuning() const noexcept override;
 
   /// Scalar reference paths: loop the wrapped model's per-variable virtuals

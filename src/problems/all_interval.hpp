@@ -59,6 +59,15 @@ class AllInterval final : public csp::PermutationProblem {
   std::size_t affected_pairs(std::size_t i, std::size_t j,
                              std::size_t out[4]) const noexcept;
 
+  /// Data-parallel pass of best_swap_for's candidate costs (taken when
+  /// util::simd::runtime_enabled(); ISA-cloned, see util/simd.hpp): fills
+  /// cand_cost_ for full lanes of interior candidates from j = 1 and returns
+  /// the first j it left to the scalar kernel.  candidate_lanes_for is its
+  /// body, specialised on whether x has a left / right neighbour.
+  std::size_t candidate_lanes(std::size_t x, csp::Cost base) const;
+  template <bool kXL, bool kXR>
+  std::size_t candidate_lanes_for(std::size_t x, csp::Cost base) const;
+
   std::size_t n_;
   std::string name_ = "all-interval";
   /// occ_[d] = number of adjacent pairs with |difference| == d (d in 1..n-1).

@@ -60,8 +60,10 @@ class Costas final : public csp::PermutationProblem {
   template <typename F>
   void for_affected_pairs(std::size_t i, std::size_t j, F&& f) const;
 
-  /// Data-parallel candidate scan (taken when util::simd::runtime_enabled());
-  /// bit-identical costs and RNG draws to the scalar loop in best_swap_for.
+  /// Data-parallel variants of the two bulk hooks (taken when
+  /// util::simd::runtime_enabled(); ISA-cloned, see util/simd.hpp):
+  /// bit-identical costs and RNG draws to the scalar loops.
+  void cost_on_all_variables_simd(std::span<csp::Cost> out) const;
   std::uint64_t best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
                                    std::size_t& best_j, csp::Cost& best_cost,
                                    std::size_t& ties) const;

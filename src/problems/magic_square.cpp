@@ -150,40 +150,46 @@ Cost MagicSquare::did_swap(std::size_t i, std::size_t j) {
   return err_sum_;
 }
 
+CSPLS_SIMD_CLONES void MagicSquare::cost_on_all_variables_simd(
+    std::span<Cost> out) const {
+  // Per row: the column errors are one contiguous Cost load, the row error
+  // a broadcast, and the two diagonal patches iota-mask selects — no
+  // gathers anywhere on this kernel.
+  constexpr std::size_t kL = simd::i64x4::kLanes;
+  const Cost d1 = line_err_[2 * n_], d2 = line_err_[2 * n_ + 1];
+  const auto d1b = simd::i64x4::broadcast(d1);
+  const auto d2b = simd::i64x4::broadcast(d2);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const auto rowb = simd::i64x4::broadcast(line_err_[i]);
+    const auto diagb = simd::i64x4::broadcast(static_cast<std::int64_t>(i));
+    const auto antib =
+        simd::i64x4::broadcast(static_cast<std::int64_t>(n_ - 1 - i));
+    Cost* const row_out = out.data() + i * n_;
+    std::size_t j = 0;
+    for (; j + kL <= n_; j += kL) {
+      const auto jv = simd::i64x4::iota(static_cast<std::int64_t>(j));
+      auto err = rowb + simd::i64x4::load(line_err_.data() + n_ + j);
+      err = err + (d1b & simd::cmp_eq(jv, diagb));
+      err = err + (d2b & simd::cmp_eq(jv, antib));
+      err.store(row_out + j);
+    }
+    for (; j < n_; ++j) {
+      Cost err = line_err_[i] + line_err_[n_ + j];
+      if (i == j) err += d1;
+      if (i + j == n_ - 1) err += d2;
+      row_out[j] = err;
+    }
+  }
+}
+
 void MagicSquare::cost_on_all_variables(std::span<Cost> out) const {
   // One pass over the board reading the cached line errors: the bulk scan
   // shares the 2n+2 error lookups across all n^2 cells.
-  const Cost d1 = line_err_[2 * n_], d2 = line_err_[2 * n_ + 1];
   if (simd::runtime_enabled()) {
-    // Per row: the column errors are one contiguous Cost load, the row error
-    // a broadcast, and the two diagonal patches iota-mask selects — no
-    // gathers anywhere on this kernel.
-    constexpr std::size_t kL = simd::i64x4::kLanes;
-    const auto d1b = simd::i64x4::broadcast(d1);
-    const auto d2b = simd::i64x4::broadcast(d2);
-    for (std::size_t i = 0; i < n_; ++i) {
-      const auto rowb = simd::i64x4::broadcast(line_err_[i]);
-      const auto diagb = simd::i64x4::broadcast(static_cast<std::int64_t>(i));
-      const auto antib =
-          simd::i64x4::broadcast(static_cast<std::int64_t>(n_ - 1 - i));
-      Cost* const row_out = out.data() + i * n_;
-      std::size_t j = 0;
-      for (; j + kL <= n_; j += kL) {
-        const auto jv = simd::i64x4::iota(static_cast<std::int64_t>(j));
-        auto err = rowb + simd::i64x4::load(line_err_.data() + n_ + j);
-        err = err + (d1b & simd::cmp_eq(jv, diagb));
-        err = err + (d2b & simd::cmp_eq(jv, antib));
-        err.store(row_out + j);
-      }
-      for (; j < n_; ++j) {
-        Cost err = line_err_[i] + line_err_[n_ + j];
-        if (i == j) err += d1;
-        if (i + j == n_ - 1) err += d2;
-        row_out[j] = err;
-      }
-    }
+    cost_on_all_variables_simd(out);
     return;
   }
+  const Cost d1 = line_err_[2 * n_], d2 = line_err_[2 * n_ + 1];
   std::size_t k = 0;
   for (std::size_t i = 0; i < n_; ++i) {
     const Cost row = line_err_[i];
@@ -196,44 +202,15 @@ void MagicSquare::cost_on_all_variables(std::span<Cost> out) const {
   }
 }
 
-std::uint64_t MagicSquare::best_swap_for(std::size_t x, util::Xoshiro256& rng,
-                                         std::size_t& best_j, Cost& best_cost,
-                                         std::size_t& ties) const {
-  // Specialized swap_delta with everything about cell x hoisted out of the
-  // candidate loop; the board walk tracks (row, col) so no divisions happen
-  // per candidate.
+CSPLS_SIMD_CLONES std::uint64_t MagicSquare::best_swap_for_simd(
+    std::size_t x, util::Xoshiro256& rng, std::size_t& best_j,
+    Cost& best_cost, std::size_t& ties) const {
   const std::size_t nn = num_variables();
   const std::size_t ia = x / n_, ja = x % n_;
   const Cost va = value(x);
   const bool a_d1 = (ia == ja), a_d2 = (ia + ja == n_ - 1);
   const Cost total = total_cost();
   const auto vals = values();
-  if (!simd::runtime_enabled()) {
-    csp::SwapScan scan(nn);
-    std::size_t b = 0;
-    for (std::size_t ib = 0; ib < n_; ++ib) {
-      for (std::size_t jb = 0; jb < n_; ++jb, ++b) {
-        if (b == x) continue;
-        const Cost d = static_cast<Cost>(vals[b]) - va;
-        Cost delta = 0;
-        if (ia != ib) {
-          delta += line_error_after(ia, d) + line_error_after(ib, -d);
-        }
-        if (ja != jb) {
-          delta += line_error_after(n_ + ja, d) + line_error_after(n_ + jb, -d);
-        }
-        const bool b_d1 = (ib == jb);
-        if (a_d1 != b_d1) delta += line_error_after(2 * n_, a_d1 ? d : -d);
-        const bool b_d2 = (ib + jb == n_ - 1);
-        if (a_d2 != b_d2) delta += line_error_after(2 * n_ + 1, a_d2 ? d : -d);
-        scan.consider(b, total + delta, rng);
-      }
-    }
-    best_j = scan.best_j;
-    best_cost = scan.best_cost;
-    ties = scan.ties;
-    return nn - 1;
-  }
   // Vector per-line error recomputation, four candidate cells per step (Cost
   // width: line sums reach n³, past 32-bit comfort at bench sizes).  Within
   // a board row the candidate's row line is constant, the column lines are
@@ -306,6 +283,47 @@ std::uint64_t MagicSquare::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   cand[x] = csp::kInfiniteCost;
   csp::SwapScan scan(nn);
   scan.feed_lanes(0, std::span<const Cost>(cand, nn), x, rng);
+  best_j = scan.best_j;
+  best_cost = scan.best_cost;
+  ties = scan.ties;
+  return nn - 1;
+}
+
+std::uint64_t MagicSquare::best_swap_for(std::size_t x, util::Xoshiro256& rng,
+                                         std::size_t& best_j, Cost& best_cost,
+                                         std::size_t& ties) const {
+  // Specialized swap_delta with everything about cell x hoisted out of the
+  // candidate loop; the board walk tracks (row, col) so no divisions happen
+  // per candidate.
+  if (simd::runtime_enabled()) {
+    return best_swap_for_simd(x, rng, best_j, best_cost, ties);
+  }
+  const std::size_t nn = num_variables();
+  const std::size_t ia = x / n_, ja = x % n_;
+  const Cost va = value(x);
+  const bool a_d1 = (ia == ja), a_d2 = (ia + ja == n_ - 1);
+  const Cost total = total_cost();
+  const auto vals = values();
+  csp::SwapScan scan(nn);
+  std::size_t b = 0;
+  for (std::size_t ib = 0; ib < n_; ++ib) {
+    for (std::size_t jb = 0; jb < n_; ++jb, ++b) {
+      if (b == x) continue;
+      const Cost d = static_cast<Cost>(vals[b]) - va;
+      Cost delta = 0;
+      if (ia != ib) {
+        delta += line_error_after(ia, d) + line_error_after(ib, -d);
+      }
+      if (ja != jb) {
+        delta += line_error_after(n_ + ja, d) + line_error_after(n_ + jb, -d);
+      }
+      const bool b_d1 = (ib == jb);
+      if (a_d1 != b_d1) delta += line_error_after(2 * n_, a_d1 ? d : -d);
+      const bool b_d2 = (ib + jb == n_ - 1);
+      if (a_d2 != b_d2) delta += line_error_after(2 * n_ + 1, a_d2 ? d : -d);
+      scan.consider(b, total + delta, rng);
+    }
+  }
   best_j = scan.best_j;
   best_cost = scan.best_cost;
   ties = scan.ties;

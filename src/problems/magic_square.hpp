@@ -46,6 +46,14 @@ class MagicSquare final : public csp::PermutationProblem {
   csp::Cost did_swap(std::size_t i, std::size_t j) override;
 
  private:
+  /// Data-parallel variants of the two bulk hooks (taken when
+  /// util::simd::runtime_enabled(); ISA-cloned, see util/simd.hpp):
+  /// bit-identical costs and RNG draws to the scalar loops.
+  void cost_on_all_variables_simd(std::span<csp::Cost> out) const;
+  std::uint64_t best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
+                                   std::size_t& best_j, csp::Cost& best_cost,
+                                   std::size_t& ties) const;
+
   /// Line ids: 0..n-1 rows, n..2n-1 cols, 2n main diag, 2n+1 anti diag.
   static constexpr std::size_t kNoLine = static_cast<std::size_t>(-1);
 

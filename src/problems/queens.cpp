@@ -109,29 +109,34 @@ Cost Queens::did_swap(std::size_t i, std::size_t j) {
   return total_cost() + delta;
 }
 
+CSPLS_SIMD_CLONES std::size_t Queens::cost_on_all_variables_simd(
+    std::span<Cost> out) const {
+  // Eight columns per step: both diagonal slots are affine in (row, col),
+  // so the only non-contiguous accesses are the two occupation gathers.
+  constexpr std::size_t kL = simd::i32x8::kLanes;
+  const auto vals = values();
+  const auto one = simd::i32x8::broadcast(1);
+  const auto two = simd::i32x8::broadcast(2);
+  const auto n1b = simd::i32x8::broadcast(static_cast<int>(n_) - 1);
+  std::size_t i = 0;
+  for (; i + kL <= n_; i += kL) {
+    const auto rv = simd::i32x8::load(vals.data() + i);
+    const auto iv = simd::i32x8::iota(static_cast<int>(i));
+    const auto u = simd::i32x8::gather(up_.data(), rv + iv);
+    const auto d = simd::i32x8::gather(down_.data(), (rv - iv) + n1b);
+    const auto s = ((u - one) & simd::cmp_ge(u, two)) +
+                   ((d - one) & simd::cmp_ge(d, two));
+    simd::i64x4 slo, shi;
+    simd::widen(s, slo, shi);
+    slo.store(out.data() + i);
+    shi.store(out.data() + i + simd::i64x4::kLanes);
+  }
+  return i;
+}
+
 void Queens::cost_on_all_variables(std::span<Cost> out) const {
   const auto vals = values();
-  std::size_t i = 0;
-  if (simd::runtime_enabled()) {
-    // Eight columns per step: both diagonal slots are affine in (row, col),
-    // so the only non-contiguous accesses are the two occupation gathers.
-    constexpr std::size_t kL = simd::i32x8::kLanes;
-    const auto one = simd::i32x8::broadcast(1);
-    const auto two = simd::i32x8::broadcast(2);
-    const auto n1b = simd::i32x8::broadcast(static_cast<int>(n_) - 1);
-    for (; i + kL <= n_; i += kL) {
-      const auto rv = simd::i32x8::load(vals.data() + i);
-      const auto iv = simd::i32x8::iota(static_cast<int>(i));
-      const auto u = simd::i32x8::gather(up_.data(), rv + iv);
-      const auto d = simd::i32x8::gather(down_.data(), (rv - iv) + n1b);
-      const auto s = ((u - one) & simd::cmp_ge(u, two)) +
-                     ((d - one) & simd::cmp_ge(d, two));
-      simd::i64x4 slo, shi;
-      simd::widen(s, slo, shi);
-      slo.store(out.data() + i);
-      shi.store(out.data() + i + simd::i64x4::kLanes);
-    }
-  }
+  std::size_t i = simd::runtime_enabled() ? cost_on_all_variables_simd(out) : 0;
   for (; i < n_; ++i) {
     const int row = vals[i];
     const int u = up_[up_slot(i, row)];
@@ -169,31 +174,14 @@ inline Cost add_two(const std::vector<int>& occ, std::size_t a,
 
 }  // namespace
 
-std::uint64_t Queens::best_swap_for(std::size_t x, util::Xoshiro256& rng,
-                                    std::size_t& best_j, Cost& best_cost,
-                                    std::size_t& ties) const {
+CSPLS_SIMD_CLONES std::uint64_t Queens::best_swap_for_simd(
+    std::size_t x, util::Xoshiro256& rng, std::size_t& best_j,
+    Cost& best_cost, std::size_t& ties) const {
   const auto vals = values();
   const Cost total = total_cost();
   const int rx = vals[x];
   const std::size_t ux = up_slot(x, rx);
   const std::size_t dx = down_slot(x, rx);
-  if (!simd::runtime_enabled()) {
-    csp::SwapScan scan(n_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (j == x) continue;
-      const int rj = vals[j];
-      const Cost delta =
-          remove_two(up_, ux, up_slot(j, rj)) +
-          add_two(up_, up_slot(x, rj), up_slot(j, rx)) +
-          remove_two(down_, dx, down_slot(j, rj)) +
-          add_two(down_, down_slot(x, rj), down_slot(j, rx));
-      scan.consider(j, total + delta, rng);
-    }
-    best_j = scan.best_j;
-    best_cost = scan.best_cost;
-    ties = scan.ties;
-    return n_ - 1;
-  }
   // Vector closed forms, eight candidates per step.  remove/add slot
   // coincidence (the a == b cases above) collapses to one vector equality
   // mask and a select; the x-side occupation reads are lane-constant, so
@@ -228,20 +216,6 @@ std::uint64_t Queens::best_swap_for(std::size_t x, util::Xoshiro256& rng,
   Cost incumbent = scan.best_cost;
   auto bestv = simd::i64x4::broadcast(incumbent);
   constexpr std::size_t kHalf = simd::i64x4::kLanes;
-  const auto feed_half = [&](const simd::i64x4 costs, std::size_t base) {
-    if (!simd::any(simd::cmp_le(costs, bestv))) return;
-    Cost block[kHalf];
-    costs.store(block);
-    for (std::size_t t = 0; t < kHalf; ++t) {
-      const std::size_t cj = base + t;
-      if (cj == x) continue;
-      scan.consider(cj, block[t], rng);
-    }
-    if (scan.best_cost != incumbent) {
-      incumbent = scan.best_cost;
-      bestv = simd::i64x4::broadcast(incumbent);
-    }
-  };
   std::size_t j = 0;
   for (; j + kL <= n_; j += kL) {
     const auto rj = simd::i32x8::load(vals.data() + j);
@@ -274,10 +248,23 @@ std::uint64_t Queens::best_swap_for(std::size_t x, util::Xoshiro256& rng,
     const auto add_d = simd::select(simd::cmp_eq(dxr, djx), one - cd1,
                                     (zero - cd1) - cd2);
     const auto delta = ((rem_u + add_u) + (rem_d + add_d));
-    simd::i64x4 dlo, dhi;
-    simd::widen(delta, dlo, dhi);
-    feed_half(totalb + dlo, j);
-    feed_half(totalb + dhi, j + kHalf);
+    simd::i64x4 half[2];
+    simd::widen(delta, half[0], half[1]);
+    for (std::size_t h = 0; h < 2; ++h) {
+      const auto costs = totalb + half[h];
+      if (!simd::any(simd::cmp_le(costs, bestv))) continue;
+      Cost block[kHalf];
+      costs.store(block);
+      for (std::size_t t = 0; t < kHalf; ++t) {
+        const std::size_t cj = j + h * kHalf + t;
+        if (cj == x) continue;
+        scan.consider(cj, block[t], rng);
+      }
+      if (scan.best_cost != incumbent) {
+        incumbent = scan.best_cost;
+        bestv = simd::i64x4::broadcast(incumbent);
+      }
+    }
   }
   for (; j < n_; ++j) {
     if (j == x) continue;
@@ -288,6 +275,34 @@ std::uint64_t Queens::best_swap_for(std::size_t x, util::Xoshiro256& rng,
                       remove_two(down_, dx, down_slot(j, rj)) +
                       add_two(down_, down_slot(x, rj), down_slot(j, rx)),
                   rng);
+  }
+  best_j = scan.best_j;
+  best_cost = scan.best_cost;
+  ties = scan.ties;
+  return n_ - 1;
+}
+
+std::uint64_t Queens::best_swap_for(std::size_t x, util::Xoshiro256& rng,
+                                    std::size_t& best_j, Cost& best_cost,
+                                    std::size_t& ties) const {
+  if (simd::runtime_enabled()) {
+    return best_swap_for_simd(x, rng, best_j, best_cost, ties);
+  }
+  const auto vals = values();
+  const Cost total = total_cost();
+  const int rx = vals[x];
+  const std::size_t ux = up_slot(x, rx);
+  const std::size_t dx = down_slot(x, rx);
+  csp::SwapScan scan(n_);
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (j == x) continue;
+    const int rj = vals[j];
+    const Cost delta =
+        remove_two(up_, ux, up_slot(j, rj)) +
+        add_two(up_, up_slot(x, rj), up_slot(j, rx)) +
+        remove_two(down_, dx, down_slot(j, rj)) +
+        add_two(down_, down_slot(x, rj), down_slot(j, rx));
+    scan.consider(j, total + delta, rng);
   }
   best_j = scan.best_j;
   best_cost = scan.best_cost;

@@ -38,6 +38,16 @@ class Queens final : public csp::PermutationProblem {
   csp::Cost did_swap(std::size_t i, std::size_t j) override;
 
  private:
+  /// Data-parallel variants of the two bulk hooks (taken when
+  /// util::simd::runtime_enabled(); ISA-cloned, see util/simd.hpp).  The
+  /// first fills the full lanes of `out` and returns where the scalar tail
+  /// starts; the second is best_swap_for with bit-identical costs and RNG
+  /// draws.
+  std::size_t cost_on_all_variables_simd(std::span<csp::Cost> out) const;
+  std::uint64_t best_swap_for_simd(std::size_t x, util::Xoshiro256& rng,
+                                   std::size_t& best_j, csp::Cost& best_cost,
+                                   std::size_t& ties) const;
+
   [[nodiscard]] std::size_t up_slot(std::size_t col, int row) const noexcept {
     return static_cast<std::size_t>(row) + col;  // row + col in [0, 2n-2]
   }

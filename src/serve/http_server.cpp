@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -222,6 +223,11 @@ void HttpServer::accept_loop() {
       if (stopping_.load()) return;
       continue;
     }
+    // A solve stream is several small writes (header, events, terminator);
+    // with Nagle on, each one after the first waits for the client's
+    // delayed ACK (~40 ms on Linux) before it leaves the host.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     std::lock_guard lock(conn_m_);
     if (stopping_.load()) {
       ::close(fd);

@@ -6,7 +6,6 @@
 
 #include "api/solver.hpp"
 #include "core/stop_token.hpp"
-#include "problems/spec.hpp"
 #include "util/fault.hpp"
 
 namespace cspls::serve {
@@ -143,8 +142,7 @@ Scheduler::~Scheduler() { shutdown(); }
 std::uint64_t Scheduler::submit(SolveCommand command, JobEvents events) {
   // Same submission-site validation as the service: the caller gets the
   // diagnostic now, not a failed job later.
-  (void)problems::parse_spec(command.request.problem);
-  parallel::validate_options(command.request.to_pool_options());
+  api::Solver::validate(command.request);
 
   auto job = std::make_shared<detail::ServeJob>();
   job->command = std::move(command);

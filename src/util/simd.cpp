@@ -27,11 +27,13 @@ bool one_shot_enabled() {
 
 const char* detect_tier_name() {
   if (!one_shot_enabled()) return "scalar";
-#if CSPLS_SIMD_VECTOR_EXT && defined(__x86_64__)
-  if (__builtin_cpu_supports("avx512f")) return "vector-ext[avx512f]";
-  if (__builtin_cpu_supports("avx2")) return "vector-ext[avx2]";
-  if (__builtin_cpu_supports("sse4.2")) return "vector-ext[sse4.2]";
-  return "vector-ext[sse2]";
+#if CSPLS_SIMD_CLONED
+  // The same test, on the same {avx2, default} list, that the ifunc
+  // resolvers of the CSPLS_SIMD_CLONES kernels run at load time.
+  return __builtin_cpu_supports("avx2") ? "vector-ext[avx2]"
+                                        : "vector-ext[sse2]";
+#elif CSPLS_SIMD_VECTOR_EXT && defined(CSPLS_NATIVE)
+  return "vector-ext[native]";
 #elif CSPLS_SIMD_VECTOR_EXT
   return "vector-ext";
 #else

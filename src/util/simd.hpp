@@ -5,12 +5,30 @@
 //
 //   - vector tier: the lane types wrap GNU vector extensions
 //     (`__attribute__((vector_size(32)))`), which GCC and Clang lower to the
-//     best ISA the target allows (SSE2 pairs on stock x86-64, single AVX2
-//     ops under -march=native/CSPLS_NATIVE, NEON on aarch64).  No intrinsic
-//     headers, no per-ISA code.
+//     ISA of the function they are inlined into.  No intrinsic headers, no
+//     per-ISA source.
 //   - scalar tier: the same types backed by plain arrays with per-lane
 //     loops.  Bit-for-bit the same results — the tier choice is a pure
 //     performance decision, never a semantic one.
+//
+// ISA clones: in GCC builds for x86-64 ELF the kernels' lane loops are
+// marked CSPLS_SIMD_CLONES, which compiles each of them twice — for AVX2 and for
+// the build's baseline (SSE2 on a stock x86-64 target) — behind an ifunc
+// resolver that picks the copy once, at load time, from the CPU's features.
+// The portable default build therefore runs single 256-bit ops on AVX2 CPUs
+// and never executes an AVX2 instruction elsewhere.  CSPLS_NATIVE builds
+// (-march=native) skip the clones: their baseline is already the host's
+// best ISA.  ODR rule: every lane op below is CSPLS_SIMD_INLINE
+// (always_inline), so it is only ever expanded inside its caller and takes
+// the caller's ISA; no out-of-line copy of a header function is ever
+// compiled for AVX2, where the linker could hand it to baseline code.  Put
+// CSPLS_SIMD_CLONES only on the .cpp definition of non-virtual,
+// non-template functions, never on a header declaration (GCC 12 then binds
+// a cloned caller in another TU straight to the callee's TU-local .avx2
+// clone, which does not link), define each one above its first caller in
+// its .cpp (Clang refuses to multiversion an already-used declaration),
+// and keep lane values out of the signatures of anything the clone calls
+// out of line (-Wpsabi stays clean that way).
 //
 // Lane-tail rules (documented in README "Hot path"): kernels process full
 // lanes only and fall back to the scalar loop for the tail; scratch arrays
@@ -38,6 +56,31 @@
 #define CSPLS_SIMD_VECTOR_EXT 0
 #endif
 
+#if defined(__GNUC__) || defined(__clang__)
+#define CSPLS_SIMD_INLINE __attribute__((always_inline)) inline
+#else
+#define CSPLS_SIMD_INLINE inline
+#endif
+
+// CSPLS_SIMD_CLONES: compile the marked lane loop for {avx2, baseline} and
+// pick one per process through the ifunc resolver (see the header comment).
+// CSPLS_SIMD_CLONED tells whether the clones are in this build.  GCC only
+// for now: Clang builds compile the lane loops once, for the baseline ISA.
+#if CSPLS_SIMD_VECTOR_EXT && defined(__x86_64__) && defined(__ELF__) && \
+    !defined(CSPLS_NATIVE) && !defined(__clang__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CSPLS_SIMD_CLONED 1
+#endif
+#endif
+#ifndef CSPLS_SIMD_CLONED
+#define CSPLS_SIMD_CLONED 0
+#endif
+#if CSPLS_SIMD_CLONED
+#define CSPLS_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define CSPLS_SIMD_CLONES
+#endif
+
 namespace cspls::util::simd {
 
 /// True when the vector tier was compiled in at all.
@@ -52,7 +95,10 @@ namespace cspls::util::simd {
 /// only flip between solves, never while walkers are running.
 void set_force_scalar(bool force) noexcept;
 
-/// Human-readable active tier, e.g. "vector-ext[avx2,avx512f]" or "scalar".
+/// Human-readable tier that actually runs: "vector-ext[avx2]" or
+/// "vector-ext[sse2]" for the clone the resolver picks on this CPU,
+/// "vector-ext[native]" under CSPLS_NATIVE, "vector-ext" for vector builds
+/// on other targets, "scalar" or "scalar(forced)".
 [[nodiscard]] const char* tier_name() noexcept;
 
 /// Smallest multiple of `lanes` >= n (scratch padding for full-lane loads).
@@ -77,15 +123,19 @@ struct i32x8 {
   std::int32_t v[kLanes];
 #endif
 
-  [[nodiscard]] static i32x8 load(const std::int32_t* p) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE static i32x8 load(
+      const std::int32_t* p) noexcept {
     i32x8 r;
     std::memcpy(&r.v, p, sizeof(r.v));
     return r;
   }
 
-  void store(std::int32_t* p) const noexcept { std::memcpy(p, &v, sizeof(v)); }
+  CSPLS_SIMD_INLINE void store(std::int32_t* p) const noexcept {
+    std::memcpy(p, &v, sizeof(v));
+  }
 
-  [[nodiscard]] static i32x8 broadcast(std::int32_t s) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE static i32x8 broadcast(
+      std::int32_t s) noexcept {
     i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = native{s, s, s, s, s, s, s, s};
@@ -96,7 +146,8 @@ struct i32x8 {
   }
 
   /// {first, first+1, ..., first+7} — candidate-index lanes.
-  [[nodiscard]] static i32x8 iota(std::int32_t first) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE static i32x8 iota(
+      std::int32_t first) noexcept {
 #if CSPLS_SIMD_VECTOR_EXT
     i32x8 r;
     r.v = native{0, 1, 2, 3, 4, 5, 6, 7};
@@ -113,7 +164,7 @@ struct i32x8 {
   /// Scalar-assisted gather: r[k] = base[idx[k]].  Indices are signed —
   /// kernels gather difference tables through a base pointer aimed at the
   /// table's centre, so negative lanes are legitimate.
-  [[nodiscard]] static i32x8 gather(const std::int32_t* base,
+  [[nodiscard]] CSPLS_SIMD_INLINE static i32x8 gather(const std::int32_t* base,
                                     const i32x8& idx) noexcept {
     i32x8 r;
     for (std::size_t k = 0; k < kLanes; ++k) {
@@ -122,11 +173,13 @@ struct i32x8 {
     return r;
   }
 
-  [[nodiscard]] std::int32_t lane(std::size_t k) const noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE std::int32_t lane(
+      std::size_t k) const noexcept {
     return v[k];
   }
 
-  friend i32x8 operator+(const i32x8& a, const i32x8& b) noexcept {
+  CSPLS_SIMD_INLINE friend i32x8 operator+(
+      const i32x8& a, const i32x8& b) noexcept {
     i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v + b.v;
@@ -136,7 +189,8 @@ struct i32x8 {
     return r;
   }
 
-  friend i32x8 operator-(const i32x8& a, const i32x8& b) noexcept {
+  CSPLS_SIMD_INLINE friend i32x8 operator-(
+      const i32x8& a, const i32x8& b) noexcept {
     i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v - b.v;
@@ -146,7 +200,8 @@ struct i32x8 {
     return r;
   }
 
-  friend i32x8 operator^(const i32x8& a, const i32x8& b) noexcept {
+  CSPLS_SIMD_INLINE friend i32x8 operator^(
+      const i32x8& a, const i32x8& b) noexcept {
     i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v ^ b.v;
@@ -156,7 +211,8 @@ struct i32x8 {
     return r;
   }
 
-  friend i32x8 operator&(const i32x8& a, const i32x8& b) noexcept {
+  CSPLS_SIMD_INLINE friend i32x8 operator&(
+      const i32x8& a, const i32x8& b) noexcept {
     i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v & b.v;
@@ -166,7 +222,8 @@ struct i32x8 {
     return r;
   }
 
-  friend i32x8 operator|(const i32x8& a, const i32x8& b) noexcept {
+  CSPLS_SIMD_INLINE friend i32x8 operator|(
+      const i32x8& a, const i32x8& b) noexcept {
     i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v | b.v;
@@ -176,13 +233,14 @@ struct i32x8 {
     return r;
   }
 
-  [[nodiscard]] friend i32x8 operator~(const i32x8& a) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE friend i32x8 operator~(
+      const i32x8& a) noexcept {
     return a ^ broadcast(-1);
   }
 };
 
 /// |a| per lane, branch-free: (a ^ (a >> 31)) - (a >> 31).
-[[nodiscard]] inline i32x8 abs(const i32x8& a) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i32x8 abs(const i32x8& a) noexcept {
   i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
   const i32x8::native m = a.v >> 31;
@@ -196,7 +254,8 @@ struct i32x8 {
   return r;
 }
 
-[[nodiscard]] inline i32x8 min(const i32x8& a, const i32x8& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i32x8 min(
+    const i32x8& a, const i32x8& b) noexcept {
   i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
   const i32x8::native m = a.v < b.v;
@@ -209,7 +268,8 @@ struct i32x8 {
   return r;
 }
 
-[[nodiscard]] inline i32x8 cmp_eq(const i32x8& a, const i32x8& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i32x8 cmp_eq(
+    const i32x8& a, const i32x8& b) noexcept {
   i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
   r.v = a.v == b.v;
@@ -221,7 +281,8 @@ struct i32x8 {
   return r;
 }
 
-[[nodiscard]] inline i32x8 cmp_ge(const i32x8& a, const i32x8& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i32x8 cmp_ge(
+    const i32x8& a, const i32x8& b) noexcept {
   i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
   r.v = a.v >= b.v;
@@ -233,7 +294,8 @@ struct i32x8 {
   return r;
 }
 
-[[nodiscard]] inline i32x8 cmp_gt(const i32x8& a, const i32x8& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i32x8 cmp_gt(
+    const i32x8& a, const i32x8& b) noexcept {
   i32x8 r;
 #if CSPLS_SIMD_VECTOR_EXT
   r.v = a.v > b.v;
@@ -246,13 +308,13 @@ struct i32x8 {
 }
 
 /// mask ? a : b per lane (mask lanes must be all-ones or all-zeros).
-[[nodiscard]] inline i32x8 select(const i32x8& mask, const i32x8& a,
+[[nodiscard]] CSPLS_SIMD_INLINE i32x8 select(const i32x8& mask, const i32x8& a,
                                   const i32x8& b) noexcept {
   return (mask & a) | (~mask & b);
 }
 
 /// True when any lane is non-zero (mask reduce).
-[[nodiscard]] inline bool any(const i32x8& m) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE bool any(const i32x8& m) noexcept {
   std::int32_t acc = 0;
   for (std::size_t k = 0; k < i32x8::kLanes; ++k) acc |= m.v[k];
   return acc != 0;
@@ -269,15 +331,19 @@ struct i64x4 {
   std::int64_t v[kLanes];
 #endif
 
-  [[nodiscard]] static i64x4 load(const std::int64_t* p) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE static i64x4 load(
+      const std::int64_t* p) noexcept {
     i64x4 r;
     std::memcpy(&r.v, p, sizeof(r.v));
     return r;
   }
 
-  void store(std::int64_t* p) const noexcept { std::memcpy(p, &v, sizeof(v)); }
+  CSPLS_SIMD_INLINE void store(std::int64_t* p) const noexcept {
+    std::memcpy(p, &v, sizeof(v));
+  }
 
-  [[nodiscard]] static i64x4 broadcast(std::int64_t s) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE static i64x4 broadcast(
+      std::int64_t s) noexcept {
     i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = native{s, s, s, s};
@@ -288,7 +354,8 @@ struct i64x4 {
   }
 
   /// Widening load of four 32-bit ints (board values, sums) into Cost lanes.
-  [[nodiscard]] static i64x4 load_i32(const std::int32_t* p) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE static i64x4 load_i32(
+      const std::int32_t* p) noexcept {
     i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
     std::int32_t __attribute__((vector_size(16))) half;
@@ -301,7 +368,8 @@ struct i64x4 {
   }
 
   /// {first, first+1, first+2, first+3}.
-  [[nodiscard]] static i64x4 iota(std::int64_t first) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE static i64x4 iota(
+      std::int64_t first) noexcept {
 #if CSPLS_SIMD_VECTOR_EXT
     i64x4 r;
     r.v = native{0, 1, 2, 3};
@@ -315,11 +383,13 @@ struct i64x4 {
 #endif
   }
 
-  [[nodiscard]] std::int64_t lane(std::size_t k) const noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE std::int64_t lane(
+      std::size_t k) const noexcept {
     return v[k];
   }
 
-  friend i64x4 operator+(const i64x4& a, const i64x4& b) noexcept {
+  CSPLS_SIMD_INLINE friend i64x4 operator+(
+      const i64x4& a, const i64x4& b) noexcept {
     i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v + b.v;
@@ -329,7 +399,8 @@ struct i64x4 {
     return r;
   }
 
-  friend i64x4 operator-(const i64x4& a, const i64x4& b) noexcept {
+  CSPLS_SIMD_INLINE friend i64x4 operator-(
+      const i64x4& a, const i64x4& b) noexcept {
     i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v - b.v;
@@ -339,7 +410,8 @@ struct i64x4 {
     return r;
   }
 
-  friend i64x4 operator&(const i64x4& a, const i64x4& b) noexcept {
+  CSPLS_SIMD_INLINE friend i64x4 operator&(
+      const i64x4& a, const i64x4& b) noexcept {
     i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v & b.v;
@@ -349,7 +421,8 @@ struct i64x4 {
     return r;
   }
 
-  friend i64x4 operator|(const i64x4& a, const i64x4& b) noexcept {
+  CSPLS_SIMD_INLINE friend i64x4 operator|(
+      const i64x4& a, const i64x4& b) noexcept {
     i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v | b.v;
@@ -359,7 +432,8 @@ struct i64x4 {
     return r;
   }
 
-  friend i64x4 operator^(const i64x4& a, const i64x4& b) noexcept {
+  CSPLS_SIMD_INLINE friend i64x4 operator^(
+      const i64x4& a, const i64x4& b) noexcept {
     i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
     r.v = a.v ^ b.v;
@@ -369,12 +443,13 @@ struct i64x4 {
     return r;
   }
 
-  [[nodiscard]] friend i64x4 operator~(const i64x4& a) noexcept {
+  [[nodiscard]] CSPLS_SIMD_INLINE friend i64x4 operator~(
+      const i64x4& a) noexcept {
     return a ^ broadcast(-1);
   }
 };
 
-[[nodiscard]] inline i64x4 abs(const i64x4& a) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i64x4 abs(const i64x4& a) noexcept {
   i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
   const i64x4::native m = a.v >> 63;
@@ -388,7 +463,8 @@ struct i64x4 {
   return r;
 }
 
-[[nodiscard]] inline i64x4 min(const i64x4& a, const i64x4& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i64x4 min(
+    const i64x4& a, const i64x4& b) noexcept {
   i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
   const i64x4::native m = a.v < b.v;
@@ -401,7 +477,8 @@ struct i64x4 {
   return r;
 }
 
-[[nodiscard]] inline i64x4 cmp_eq(const i64x4& a, const i64x4& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i64x4 cmp_eq(
+    const i64x4& a, const i64x4& b) noexcept {
   i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
   r.v = a.v == b.v;
@@ -413,7 +490,8 @@ struct i64x4 {
   return r;
 }
 
-[[nodiscard]] inline i64x4 cmp_le(const i64x4& a, const i64x4& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i64x4 cmp_le(
+    const i64x4& a, const i64x4& b) noexcept {
   i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
   r.v = a.v <= b.v;
@@ -425,7 +503,8 @@ struct i64x4 {
   return r;
 }
 
-[[nodiscard]] inline i64x4 cmp_ge(const i64x4& a, const i64x4& b) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE i64x4 cmp_ge(
+    const i64x4& a, const i64x4& b) noexcept {
   i64x4 r;
 #if CSPLS_SIMD_VECTOR_EXT
   r.v = a.v >= b.v;
@@ -437,19 +516,19 @@ struct i64x4 {
   return r;
 }
 
-[[nodiscard]] inline i64x4 select(const i64x4& mask, const i64x4& a,
+[[nodiscard]] CSPLS_SIMD_INLINE i64x4 select(const i64x4& mask, const i64x4& a,
                                   const i64x4& b) noexcept {
   return (mask & a) | (~mask & b);
 }
 
-[[nodiscard]] inline bool any(const i64x4& m) noexcept {
+[[nodiscard]] CSPLS_SIMD_INLINE bool any(const i64x4& m) noexcept {
   std::int64_t acc = 0;
   for (std::size_t k = 0; k < i64x4::kLanes; ++k) acc |= m.v[k];
   return acc != 0;
 }
 
 /// Widen the low/high four i32 lanes into Cost lanes.
-inline void widen(const i32x8& a, i64x4& lo, i64x4& hi) noexcept {
+CSPLS_SIMD_INLINE void widen(const i32x8& a, i64x4& lo, i64x4& hi) noexcept {
 #if CSPLS_SIMD_VECTOR_EXT
   using half_t = std::int32_t __attribute__((vector_size(16)));
   const half_t lo_half =

@@ -384,6 +384,50 @@ TEST(Solver, RejectsUnknownProblemsWithTheNameList) {
   }
 }
 
+// Checkpoint configurations are client input too: a resumed walker's
+// current or best values that are not a configuration of the instance are
+// rejected before the kernel's assign() can index past its tables.
+void expect_resume_rejected(SolveRequest request,
+                            const parallel::PoolCheckpoint::WalkerEntry& entry,
+                            std::string_view what) {
+  request.resume_from = parallel::PoolCheckpoint{};
+  request.resume_from->walkers.push_back(entry);
+  try {
+    Solver::validate(request);
+    FAIL() << what << " passed validation";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)Solver::solve(request), std::invalid_argument) << what;
+}
+
+TEST(Solver, RejectsConfigurationsThatAreNotTheInstances) {
+  SolveRequest request;
+  request.problem = "queens:8";
+  request.walkers = 1;
+  request.scheduling = parallel::Scheduling::kSequential;
+  const std::vector<int> valid = {0, 1, 2, 3, 4, 5, 6, 7};
+  parallel::PoolCheckpoint::WalkerEntry entry;
+  entry.stage = parallel::PoolCheckpoint::WalkerStage::kRunning;
+  entry.checkpoint.values = valid;
+  entry.checkpoint.best = valid;
+  entry.checkpoint.tabu_until.assign(valid.size(), 0);
+
+  auto bad = entry;
+  bad.checkpoint.values = {100000, -5000, 2, 3, 4, 5, 6, 7};
+  expect_resume_rejected(request, bad, "resume_from walker 0 values");
+  bad = entry;
+  bad.checkpoint.best = {0, 0, 2, 3, 4, 5, 6, 7};
+  expect_resume_rejected(request, bad, "resume_from walker 0 best");
+
+  SolveRequest warm = request;
+  warm.warm_start = std::vector<int>{0, 0, 2, 3, 4, 5, 6, 7};
+  EXPECT_THROW(Solver::validate(warm), std::invalid_argument);
+  EXPECT_THROW((void)Solver::solve(warm), std::invalid_argument);
+  warm.warm_start = valid;
+  EXPECT_NO_THROW(Solver::validate(warm));
+}
+
 // --- Byte-identity with the direct WalkerPool path ---------------------
 
 void expect_matches_direct_pool(const SolveRequest& request) {

@@ -272,6 +272,10 @@ class CrashingProblem final : public csp::Problem {
   [[nodiscard]] bool verify(std::span<const int> values) const override {
     return inner_->verify(values);
   }
+  [[nodiscard]] bool is_configuration(
+      std::span<const int> values) const override {
+    return inner_->is_configuration(values);
+  }
   [[nodiscard]] csp::TuningHints tuning() const noexcept override {
     return inner_->tuning();
   }

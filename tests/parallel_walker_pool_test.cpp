@@ -413,7 +413,12 @@ TEST(WalkerPool, MigrationOnTorusSolvesThreaded) {
   pool.termination = Termination::kFirstFinisher;
   pool.communication.neighborhood = Neighborhood::kTorus;
   pool.communication.exchange = Exchange::kMigration;
-  pool.communication.period = 50;
+  // Every walker publishes at its 10th iteration, and no walker of this
+  // seed can solve before its 11th (walker 2's isolated walk is the
+  // shortest, at 11), so the race publishes at least once whatever the
+  // thread timing.  With period 50, walker 2 could win before anyone
+  // published whenever its thread got going before the others'.
+  pool.communication.period = 10;
   pool.communication.adopt_probability = 0.5;
   const auto report = WalkerPool(pool).run(costas);
   ASSERT_TRUE(report.solved);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -235,14 +236,22 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ProblemContract,
 // fork every downstream decision.
 TEST(SimdScalarEquivalence, RandomSweepAcrossKernelsAndOddSizes) {
   namespace simd = util::simd;
+  // The vector side runs whichever ISA clone the resolver picked; the log
+  // names it so a CI run records which one this sweep covered.
+  std::printf("SIMD tier under test: %s\n", simd::tier_name());
+  RecordProperty("simd_tier", simd::tier_name());
   // At least one size per kernel whose variable count is not a lane
   // multiple (perfect-square size is the quadtree split count: 4 -> n=13,
-  // 6 -> n=19; langford size n -> 2n variables).
+  // 6 -> n=19; langford size n -> 2n variables).  The lane kernels also get
+  // sizes with several full lanes plus a tail: costas 13/21 (triangle rows
+  // of 12..20 pairs), all-interval 27 (three 8-lanes from j = 1, tail 1),
+  // queens 29 (three lanes + 5), magic-square 7/11 (rows of 4-lanes + 3,
+  // 49/121 cells).
   const std::map<std::string, std::vector<std::size_t>> sweep_sizes = {
-      {"costas", {7, 9}},        {"all-interval", {11, 14}},
-      {"perfect-square", {4, 6}}, {"magic-square", {5, 6}},
-      {"queens", {11, 13}},      {"langford", {7, 9}},
-      {"partition", {12, 20}},   {"alpha", {26}},
+      {"costas", {7, 9, 13, 21}},    {"all-interval", {11, 14, 27}},
+      {"perfect-square", {4, 6}},    {"magic-square", {5, 6, 7, 11}},
+      {"queens", {11, 13, 29}},      {"langford", {7, 9}},
+      {"partition", {12, 20}},       {"alpha", {26}},
   };
   for (const auto& name : problem_names()) {
     for (const std::size_t size : sweep_sizes.at(name)) {

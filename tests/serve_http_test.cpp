@@ -11,10 +11,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/params.hpp"
 #include "serve/protocol.hpp"
@@ -93,7 +95,7 @@ std::string stats_request(std::string_view extra_headers = {}) {
   return request;
 }
 
-std::string solve_post() {
+std::string solve_post(bool stream = false) {
   api::SolveRequest solve;
   solve.problem = "costas:7";
   solve.walkers = 1;
@@ -101,6 +103,7 @@ std::string solve_post() {
   solve.scheduling = parallel::Scheduling::kSequential;
   util::Json envelope = util::Json::object();
   envelope.set("op", "solve").set("request", solve.to_json());
+  if (stream) envelope.set("stream", true).set("sample_period", 64);
   const std::string body = envelope.dump(0);
   return "POST /api HTTP/1.1\r\nHost: t\r\nContent-Length: " +
          std::to_string(body.size()) + "\r\n\r\n" + body;
@@ -140,6 +143,38 @@ TEST(ServeHttp, TwoRequestsShareOneSocket) {
   head = recv_simple_response(fd, buffer, body);
   EXPECT_NE(head.find("200 OK"), std::string::npos);
   EXPECT_NE(body.find("\"event\":\"stats\""), std::string::npos);
+
+  ::close(fd);
+  server.stop();
+  scheduler.shutdown();
+}
+
+// A solve stream is several small writes.  Without TCP_NODELAY, Nagle holds
+// each one back until the client's delayed ACK (40 ms on Linux), so a tiny
+// streamed solve reached the client ~40 ms after the server had finished.
+TEST(ServeHttp, StreamedReportIsNotHeldBackUntilTheDelayedAck) {
+  Scheduler scheduler;
+  HttpServer server(scheduler);
+  server.start();
+
+  const int fd = connect_to(server.port());
+  std::string buffer;
+  std::vector<double> report_ms;
+  for (int i = 0; i < 9; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    send_text(fd, solve_post(/*stream=*/true));
+    (void)recv_through(fd, buffer, "\"event\":\"report\"");
+    report_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+    (void)recv_through(fd, buffer, "0\r\n\r\n");
+  }
+  std::vector<double> sorted = report_ms;
+  std::sort(sorted.begin(), sorted.end());
+  std::string all;
+  for (const double ms : report_ms) all += std::to_string(ms) + " ";
+  EXPECT_LT(sorted[sorted.size() / 2], 25.0) << "report latencies (ms): "
+                                             << all;
 
   ::close(fd);
   server.stop();

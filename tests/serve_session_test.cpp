@@ -4,11 +4,15 @@
 // containment, and the service_dispatch fault leg.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/solver.hpp"
+#include "core/params.hpp"
+#include "problems/spec.hpp"
 #include "serve/stdio_server.hpp"
 #include "util/fault.hpp"
 
@@ -154,6 +158,67 @@ TEST(ServeSession, WireErrorsAreContainedAndTheServerKeepsServing) {
   EXPECT_EQ(events[4].at("event").as_string(), "report");
   EXPECT_EQ(events[4].at("status").as_string(), "done");
   EXPECT_EQ(events[4].at("tag").as_string(), "after");
+}
+
+// A client-supplied configuration is validated before any kernel sees it:
+// on every kernel, a warm start with out-of-range values, a duplicated
+// value or the wrong length answers a bad_request error event (unchecked,
+// it would index past the kernel's tables or "solve" to a non-permutation),
+// and the session keeps serving the next solve.
+TEST(ServeSession, ForeignWarmStartsAnswerBadRequestOnEveryKernel) {
+  const std::vector<std::string> specs = {
+      "costas:7",     "all-interval:8", "perfect-square:4", "magic-square:3",
+      "queens:8",     "langford:4",     "partition:8",      "alpha"};
+  for (const std::string& spec : specs) {
+    const std::vector<int> valid = [&] {
+      const auto problem = problems::instantiate(problems::parse_spec(spec));
+      return std::vector<int>(problem->values().begin(),
+                              problem->values().end());
+    }();
+    std::vector<int> out_of_range = valid;
+    out_of_range[0] = 100000;
+    out_of_range[1] = -5000;
+    std::vector<int> duplicate = valid;
+    const auto other =
+        std::find_if(duplicate.begin(), duplicate.end(),
+                     [&](int v) { return v != duplicate.front(); });
+    ASSERT_NE(other, duplicate.end()) << spec;
+    *other = duplicate.front();
+    std::vector<int> short_by_one(valid.begin(), valid.end() - 1);
+
+    api::SolveRequest request;
+    request.problem = spec;
+    request.walkers = 1;
+    request.seed = 7;
+    request.scheduling = parallel::Scheduling::kSequential;
+    core::Params params;
+    params.restart_limit = 2000;
+    params.max_restarts = 0;
+    request.params = params;
+    std::vector<std::string> lines;
+    const std::vector<std::pair<std::string, std::vector<int>>> cases = {
+        {"out_of_range", out_of_range},
+        {"duplicate", duplicate},
+        {"wrong_length", short_by_one}};
+    for (const auto& [tag, warm_start] : cases) {
+      api::SolveRequest bad = request;
+      bad.warm_start = warm_start;
+      lines.push_back(solve_line(bad, false, 0, tag));
+    }
+    lines.push_back(solve_line(request, false, 0, "after"));
+
+    const auto events = serve_lines(lines);
+    ASSERT_EQ(events.size(), 5u) << spec;
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      EXPECT_EQ(events[k].at("event").as_string(), "error") << spec;
+      EXPECT_EQ(events[k].at("code").as_string(), "bad_request") << spec;
+      EXPECT_EQ(events[k].at("tag").as_string(), cases[k].first) << spec;
+    }
+    EXPECT_EQ(events[3].at("event").as_string(), "accepted") << spec;
+    EXPECT_EQ(events[4].at("event").as_string(), "report") << spec;
+    EXPECT_EQ(events[4].at("status").as_string(), "done") << spec;
+    EXPECT_EQ(events[4].at("tag").as_string(), "after") << spec;
+  }
 }
 
 TEST(ServeSession, BadRequestBodyAndUnknownJobCancelAreStructuredErrors) {

@@ -57,6 +57,26 @@ TEST(SimdUtil, RuntimeTierToggle) {
   }
 }
 
+// tier_name() names the code that runs, not the CPU's best feature: in a
+// cloned build the resolver's pick from {avx2, default}.
+TEST(SimdUtil, TierNameIsTheDispatchedClone) {
+  simd::set_force_scalar(false);
+  if (!simd::runtime_enabled()) {
+    EXPECT_STREQ(simd::tier_name(), "scalar");
+    return;
+  }
+#if CSPLS_SIMD_CLONED
+  __builtin_cpu_init();
+  EXPECT_STREQ(simd::tier_name(), __builtin_cpu_supports("avx2")
+                                      ? "vector-ext[avx2]"
+                                      : "vector-ext[sse2]");
+#elif defined(CSPLS_NATIVE)
+  EXPECT_STREQ(simd::tier_name(), "vector-ext[native]");
+#else
+  EXPECT_STREQ(simd::tier_name(), "vector-ext");
+#endif
+}
+
 TEST(SimdI32, LoadStoreBroadcastIota) {
   const std::int32_t src[8] = {1, -2, 3, -4, 5, -6, 7, -8};
   const auto a = simd::i32x8::load(src);
